@@ -18,13 +18,12 @@ from repro.analysis.planstats import (
 )
 from repro.analysis.report import (
     format_kernel_counters,
-    format_parallel_stats,
     format_resilience_stats,
     format_table,
 )
 from repro.analysis.trace import Trace, TraceEvent
 
 __all__ = ["FactorizationMetrics", "PlanStats", "Trace", "TraceEvent",
-           "format_table", "format_kernel_counters", "format_parallel_stats",
+           "format_table", "format_kernel_counters",
            "format_resilience_stats", "format_compile_summary",
            "format_plan_summary", "task_cost"]

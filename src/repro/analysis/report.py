@@ -7,7 +7,7 @@ and shows them with ``-s``); this module keeps the formatting in one place.
 from __future__ import annotations
 
 __all__ = ["format_table", "format_si", "format_kernel_counters",
-           "format_parallel_stats", "format_resilience_stats"]
+           "format_resilience_stats"]
 
 
 def format_si(x: float, digits: int = 3) -> str:
@@ -72,46 +72,6 @@ def format_kernel_counters(sim, result, title: str = "kernel counters") -> str:
     for kind in sorted(sim.event_counts):
         rows.append([f"events[{kind}]", int(sim.event_counts[kind])])
     return format_table(["counter", "value"], rows, title=title)
-
-
-def format_parallel_stats(result, title: str = "parallel execution") -> str:
-    """Per-level worker utilization of a fanned-out 3D factorization.
-
-    ``result`` is a ``Factor3DResult``; its ``parallel_stats`` holds one
-    :class:`repro.parallel.LevelStats` per level that actually fanned out
-    (levels with a single runnable grid stay serial and do not appear),
-    plus a :class:`repro.parallel.ParallelFallback` when workers were
-    requested but the run stayed serial — that reason is printed here so
-    the decision is never silent. Utilization is summed task seconds over
-    ``workers x wall``; the serial fraction is the Amdahl share of
-    fork/export + merge/import time. The transport column says how each
-    level's replica blocks reached the workers (``shm`` descriptors vs
-    ``pickle`` copies vs ``none`` for cost-only) and ``shipped`` how many
-    payload bytes were serialized for the fan-out.
-    """
-    stats = getattr(result, "parallel_stats", None) or []
-    levels = [st for st in stats if hasattr(st, "utilization")]
-    fallbacks = [st for st in stats if hasattr(st, "reason")]
-    out: list[str] = []
-    if levels:
-        rows = [[st.level, st.n_tasks, st.n_workers, st.backend,
-                 getattr(st, "transport", "none"),
-                 format_si(float(getattr(st, "bytes_shipped", 0.0))) + "B",
-                 st.wall_seconds * 1e3, st.task_seconds * 1e3,
-                 st.utilization, st.serial_fraction]
-                for st in levels]
-        out.append(format_table(
-            ["level", "grids", "workers", "backend", "transport",
-             "shipped", "wall [ms]", "task [ms]", "util", "serial frac"],
-            rows, title=title))
-    else:
-        out.append(title)
-    for fb in fallbacks:
-        out.append(f"serial fallback ({fb.requested_workers} workers "
-                   f"requested, backend={fb.backend}): {fb.reason}")
-    if not levels and not fallbacks:
-        out.append("(serial run: no levels fanned out)")
-    return "\n".join(out)
 
 
 def format_resilience_stats(stats, title: str = "resilience") -> str:

@@ -21,7 +21,7 @@ from repro.sparse.generators import GridGeometry
 from repro.sparse.pattern import pattern_of, symmetrize_pattern
 from repro.symbolic.symbolic_factor import symbolic_factorize
 from repro.tree.partition import greedy_partition, naive_partition
-from repro.utils import check_square_sparse
+from repro.utils import check_real_finite, check_square_sparse
 
 __all__ = ["SparseCholesky3D"]
 
@@ -32,9 +32,9 @@ class SparseCholesky3D:
     Same constructor contract as :class:`repro.solve.SparseLU3D`; the input
     must be symmetric positive definite (mildly indefinite diagonals are
     absorbed by shifted-Cholesky + iterative refinement, and reported via
-    ``result.perturbed_pivots``). ``options.n_workers`` flows through
-    :func:`repro.lu3d.factor3d.factor_3d` unchanged, so the Cholesky
-    engine fans its per-level grids out to the same worker pool as LU.
+    ``result.perturbed_pivots``). Factorization runs through
+    :func:`repro.lu3d.factor3d.factor_3d` with the Cholesky backend, on
+    the same level executor as LU.
     """
 
     def __init__(self, A: sp.spmatrix, geometry: GridGeometry | None = None,
@@ -43,7 +43,7 @@ class SparseCholesky3D:
                  options: FactorOptions | None = None, numeric: bool = True,
                  nd_method: str = "bfs", max_block: int | None = 256,
                  relax: int = 0):
-        self.A = check_square_sparse(A)
+        self.A = check_real_finite(check_square_sparse(A))
         sym_err = abs(self.A - self.A.T).max()
         if sym_err > 1e-10 * max(abs(self.A).max(), 1e-300):
             raise ValueError("Cholesky requires a symmetric matrix "
@@ -144,7 +144,7 @@ class SparseCholesky3D:
         Mirrors :meth:`repro.solve.SparseLU3D.refactorize` (SuperLU's
         ``SamePattern``): reuses ordering, symbolic fill and partition.
         """
-        A_new = check_square_sparse(A_new)
+        A_new = check_real_finite(check_square_sparse(A_new), "A_new")
         if A_new.shape != self.A.shape:
             raise ValueError(
                 f"shape {A_new.shape} differs from original {self.A.shape}")

@@ -27,7 +27,6 @@ from repro.analysis import (
     FactorizationMetrics,
     PlanStats,
     format_compile_summary,
-    format_parallel_stats,
     format_plan_summary,
     format_resilience_stats,
     format_table,
@@ -117,7 +116,7 @@ def cmd_solve(args) -> int:
     else:
         from repro.solve import SparseLU3D as Solver
     fault_plan = FaultPlan.parse(args.faults) if args.faults else None
-    opts = FactorOptions(n_workers=args.workers, fault_plan=fault_plan,
+    opts = FactorOptions(fault_plan=fault_plan,
                          checkpoint_every=args.checkpoint_every,
                          recovery=args.recovery,
                          compile_plan=not args.no_compile,
@@ -169,8 +168,6 @@ def cmd_solve(args) -> int:
     print(f"per-rank comm volume: {m.w_total_max:.4g} words "
           f"(fact {m.w_fact_max:.4g}, red {m.w_red_max:.4g})")
     print(f"per-rank peak memory: {m.mem_peak_max:.4g} words")
-    if args.workers != 1:
-        print(format_parallel_stats(solver.result))
     if getattr(solver.result, "resilience", None) is not None:
         print(format_resilience_stats(solver.result.resilience))
     if args.dump_plan:
@@ -415,10 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "grid from its sibling z-replicas")
     s.add_argument("--cholesky", action="store_true",
                    help="use the SPD Cholesky engine")
-    s.add_argument("--workers", type=int, default=1,
-                   help="host worker processes for the per-level grid "
-                        "fan-out (0 = one per core, 1 = serial); ledgers "
-                        "and factors are identical at any setting")
     s.add_argument("--no-compile", action="store_true",
                    help="skip the plan-compilation pass (task fusion); "
                         "ledgers and factors are identical either way — "
@@ -436,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "sparsity-aware compact model (repro.comm.volume): "
                         "min(dense, 1.5*nnz) words per block; factors are "
                         "identical, only the communication/storage ledgers "
-                        "(and the worker wire format) change")
+                        "change")
     s.add_argument("--verify-plan", action="store_true",
                    help="after factorization, run the static plan analyzer "
                         "(races, cycles, malformed collectives) on the "

@@ -30,24 +30,11 @@ The driver must issue events in a causally valid order (a ``recv`` only
 after its ``send``); :class:`CommError` flags violations. Because the
 collectives are built from these point-to-point events, volume conservation
 (Σ words sent = Σ words received) holds mechanically, and tests assert it.
-
-Fork/merge
-----------
-Algorithm 1's per-level 2D factorizations touch *disjoint* rank sets, so
-a parallel host can execute them in separate OS processes against
-*forked* sub-simulators (:meth:`Simulator.fork`) and splice the resulting
-:class:`LedgerDelta` objects back with :meth:`Simulator.merge_delta`.
-Because each forked rank starts from its exact parent-side ledger state
-and undergoes the exact event sequence the serial schedule would have
-issued, the merged per-rank arrays are *copies* of what the serial run
-produces — bit-for-bit, with no floating-point reassociation anywhere.
-The only cross-rank state, ``event_counts``, is integer-summed.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -62,7 +49,7 @@ from repro.utils import check_positive_int
 if TYPE_CHECKING:  # avoid the comm <-> analysis import cycle at runtime
     from repro.analysis.trace import Trace
 
-__all__ = ["Simulator", "CommError", "LedgerDelta"]
+__all__ = ["Simulator", "CommError"]
 
 #: List-input compute batches below this size book through a scalar loop:
 #: ``np.asarray`` + the validation reductions + ``np.add.at`` cost more
@@ -73,29 +60,6 @@ _SCALAR_BATCH_MAX = 256
 
 class CommError(RuntimeError):
     """A causality or protocol violation in the simulated schedule."""
-
-
-@dataclass
-class LedgerDelta:
-    """Compact ledger state of a forked sub-simulator, ready to merge.
-
-    Per-rank arrays hold the *absolute* final values for ``ranks`` (their
-    rank sets are disjoint across concurrent forks, so merging copies
-    rather than sums and stays bit-exact); ``event_counts`` holds integer
-    increments accumulated since the fork.
-    """
-
-    ranks: np.ndarray
-    clock: np.ndarray
-    flops: dict[str, np.ndarray]
-    t_compute: dict[str, np.ndarray]
-    words_sent: dict[str, np.ndarray]
-    words_recv: dict[str, np.ndarray]
-    msgs_sent: dict[str, np.ndarray]
-    msgs_recv: dict[str, np.ndarray]
-    mem_current: np.ndarray
-    mem_peak: np.ndarray
-    event_counts: dict[str, int] = field(default_factory=dict)
 
 
 class Simulator:
@@ -436,119 +400,6 @@ class Simulator:
             self.event_counts["recv"] += npairs
         if reduce_kind is not None:
             self.event_counts[reduce_kind] += n_events
-
-    # -- fork / merge -------------------------------------------------------
-
-    def can_fork(self) -> bool:
-        """Forking requires plain per-rank ledgers: no trace (globally
-        ordered intervals), no topology (cross-fork link factors), no
-        accelerator (device clocks are not part of the delta), no fault
-        injector (its message-count state is global across ranks)."""
-        return (self.trace is None and self.topology is None
-                and self.accelerator is None and self.faults is None)
-
-    def _pending_touching(self, rank_set: set[int]) -> int:
-        return sum(len(q) for (s, d), q in self._queues.items()
-                   if q and (s in rank_set or d in rank_set))
-
-    def fork(self, ranks) -> "Simulator":
-        """A fresh simulator carrying ``ranks``' exact ledger state.
-
-        The returned sub-simulator has the same rank numbering and machine
-        model; every ledger entry of ``ranks`` is copied, all other ranks
-        start at zero, and ``event_counts`` starts empty so that
-        :meth:`extract_delta` reports pure increments. Raises
-        :class:`CommError` if the simulator is not forkable
-        (:meth:`can_fork`) or if messages to/from ``ranks`` are pending.
-        """
-        if not self.can_fork():
-            raise CommError("cannot fork a traced, topology-aware or "
-                            "accelerator-attached simulator")
-        idx = np.asarray(sorted(self._check_rank(r) for r in ranks),
-                         dtype=np.intp)
-        if self._pending_touching(set(idx.tolist())):
-            raise CommError("cannot fork: pending messages touch the "
-                            "forked rank set")
-        sub = Simulator(self.nranks, self.machine)
-        sub.phase = self.phase
-        sub.clock[idx] = self.clock[idx]
-        for k in COMPUTE_KINDS:
-            sub.flops[k][idx] = self.flops[k][idx]
-            sub.t_compute[k][idx] = self.t_compute[k][idx]
-        for p in PHASES:
-            sub.words_sent[p][idx] = self.words_sent[p][idx]
-            sub.words_recv[p][idx] = self.words_recv[p][idx]
-            sub.msgs_sent[p][idx] = self.msgs_sent[p][idx]
-            sub.msgs_recv[p][idx] = self.msgs_recv[p][idx]
-        sub.mem_current[idx] = self.mem_current[idx]
-        sub.mem_peak[idx] = self.mem_peak[idx]
-        return sub
-
-    def extract_delta(self, ranks) -> LedgerDelta:
-        """Package a forked run's ledger state for :meth:`merge_delta`.
-
-        Verifies that the fork's events stayed inside ``ranks`` (any
-        ledger activity on an outside rank means the schedule escaped its
-        layer, which would make the merge silently wrong) and that no
-        messages are still in flight.
-        """
-        idx = np.asarray(sorted(self._check_rank(r) for r in ranks),
-                         dtype=np.intp)
-        if self.pending_messages():
-            raise CommError("extract_delta with messages still in flight")
-        outside = np.ones(self.nranks, dtype=bool)
-        outside[idx] = False
-        escaped = self.clock[outside].any() or self.mem_peak[outside].any()
-        for p in PHASES:
-            escaped = escaped or self.words_sent[p][outside].any() \
-                or self.words_recv[p][outside].any() \
-                or self.msgs_sent[p][outside].any() \
-                or self.msgs_recv[p][outside].any()
-        for k in COMPUTE_KINDS:
-            escaped = escaped or self.flops[k][outside].any() \
-                or self.t_compute[k][outside].any()
-        if escaped:
-            raise CommError("forked events escaped the declared rank set")
-        return LedgerDelta(
-            ranks=idx,
-            clock=self.clock[idx].copy(),
-            flops={k: self.flops[k][idx].copy() for k in COMPUTE_KINDS},
-            t_compute={k: self.t_compute[k][idx].copy()
-                       for k in COMPUTE_KINDS},
-            words_sent={p: self.words_sent[p][idx].copy() for p in PHASES},
-            words_recv={p: self.words_recv[p][idx].copy() for p in PHASES},
-            msgs_sent={p: self.msgs_sent[p][idx].copy() for p in PHASES},
-            msgs_recv={p: self.msgs_recv[p][idx].copy() for p in PHASES},
-            mem_current=self.mem_current[idx].copy(),
-            mem_peak=self.mem_peak[idx].copy(),
-            event_counts=dict(self.event_counts),
-        )
-
-    def merge_delta(self, delta: LedgerDelta) -> None:
-        """Splice a fork's final ledger state back into this simulator.
-
-        Per-rank arrays are *copied* at ``delta.ranks`` (disjointness
-        across concurrent forks makes this exact); event counts are
-        integer-added. The caller merges deltas in grid order so that the
-        whole operation is deterministic regardless of worker scheduling.
-        """
-        idx = np.asarray(delta.ranks, dtype=np.intp)
-        if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= self.nranks):
-            raise CommError("delta ranks outside this simulator")
-        self.clock[idx] = delta.clock
-        for k in COMPUTE_KINDS:
-            self.flops[k][idx] = delta.flops[k]
-            self.t_compute[k][idx] = delta.t_compute[k]
-        for p in PHASES:
-            self.words_sent[p][idx] = delta.words_sent[p]
-            self.words_recv[p][idx] = delta.words_recv[p]
-            self.msgs_sent[p][idx] = delta.msgs_sent[p]
-            self.msgs_recv[p][idx] = delta.msgs_recv[p]
-        self.mem_current[idx] = delta.mem_current
-        self.mem_peak[idx] = delta.mem_peak
-        for kind, n in delta.event_counts.items():
-            if n:
-                self.event_counts[kind] += int(n)
 
     # -- accelerator offload -----------------------------------------------
 

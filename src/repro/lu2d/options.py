@@ -53,27 +53,11 @@ class FactorOptions:
         runs ignore the flag (they observe per-task boundaries). The
         ``REPRO_COMPILE=0`` environment variable forces it off globally
         (CI's uncompiled tier-1 run).
-    shm_transport:
-        Back the 3D process-pool fan-out's replica shipping with
-        ``multiprocessing.shared_memory``: workers receive (name, offset,
-        shape) descriptors instead of pickled block arrays. Falls back to
-        the pickle path when shared memory is unavailable; ``REPRO_SHM=0``
-        forces the fallback.
-    n_workers:
-        Host worker processes for the 3D drivers' per-level fan-out
-        (:mod:`repro.parallel`). ``1`` (default) keeps the serial in-place
-        schedule with no pool; ``0`` means one worker per host core.
-        Ledgers and factors are identical either way — the fan-out merges
-        forked sub-simulator ledgers deterministically in grid order.
-    parallel_backend:
-        ``'process'`` (real multi-core), ``'thread'`` (BLAS-overlap only),
-        or ``'serial'`` (the fork/merge path run inline — test hook).
     fault_plan:
         A :class:`repro.resilience.FaultPlan` of deterministic faults to
         inject (``None`` / empty = fault-free: every ledger stays
         bit-identical to seed). A non-empty plan (or checkpointing)
-        routes the run through the resilience engine's serial monitored
-        walk — worker fan-out is recorded as a ``ParallelFallback``.
+        routes the run through the resilience engine's monitored walk.
     checkpoint_every:
         Take a coordinated checkpoint of the replica blocks and the plan
         walk position every this many interpreted tasks (``0`` = off).
@@ -91,8 +75,7 @@ class FactorOptions:
         the sparsity-aware compact model (:mod:`repro.comm.volume`):
         ``min(dense, 1.5 * nnz)`` words per block off the filled pattern's
         per-block nnz tables, instead of dense ``rows * cols``. Numerics
-        are unaffected — only the booked word counts (and the worker
-        transport's wire format) change. The ``REPRO_COMPACT`` environment
+        are unaffected — only the booked word counts change. The ``REPRO_COMPACT`` environment
         variable overrides the flag either way (``1``/``0``).
     ancestor_replication:
         2.5D replication factor ``c`` for the dense common-ancestor levels
@@ -102,10 +85,11 @@ class FactorOptions:
         forest as one aggregate 2.5D sweep over ``min(c, 2^{l-q})`` of
         its replication range's grids — per-rank level volume drops from
         ``D/sqrt(Pxy)`` to ``D/(c*sqrt(Pxy))`` at ``c``-fold panel
-        traffic. ``c = Pz`` reproduces the legacy ``lu3d.dense25`` cost
-        study. A first-order *cost model*: ``c > 1`` requires cost-only
-        runs (``numeric=False``, no resilience) on the standard
-        (non-merged) LU driver.
+        traffic. ``c = Pz`` is the Section VII 2.5D cost study (every
+        ancestor level replicated across its whole range). A first-order
+        *cost model*: ``c > 1`` requires cost-only runs
+        (``numeric=False``, no resilience) on the standard (non-merged)
+        LU driver.
     blocking:
         Supernode-boundary strategy for the symbolic phase: ``'uniform'``
         (the default — ``max_block``-capped equal chunks, SuperLU_DIST's
@@ -124,9 +108,6 @@ class FactorOptions:
     batched_schur: bool = True
     batch_min_pairs: int = 32
     compile_plan: bool = True
-    shm_transport: bool = True
-    n_workers: int = 1
-    parallel_backend: str = "process"
     fault_plan: object | None = None   # repro.resilience.FaultPlan
     checkpoint_every: int = 0
     recovery: str = "restart"
@@ -144,11 +125,6 @@ class FactorOptions:
             raise ValueError("lookahead must be non-negative")
         if self.pivot_eps <= 0:
             raise ValueError("pivot_eps must be positive")
-        if self.n_workers < 0:
-            raise ValueError("n_workers must be non-negative (0 = auto)")
-        if self.parallel_backend not in ("process", "thread", "serial"):
-            raise ValueError(
-                f"unknown parallel_backend {self.parallel_backend!r}")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative (0 = off)")
         if self.recovery not in ("restart", "z-replica"):
@@ -156,7 +132,7 @@ class FactorOptions:
                              "expected 'restart' or 'z-replica'")
 
     def resilience_active(self) -> bool:
-        """Whether this run needs the monitored (serial) resilient walk."""
+        """Whether this run needs the monitored resilient walk."""
         return bool(self.fault_plan) or self.checkpoint_every > 0
 
 

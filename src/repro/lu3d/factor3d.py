@@ -15,20 +15,13 @@ point-to-point between ranks with the same (x, y) coordinate in the
 sender and receiver layers, booked under the ``'red'`` phase so the
 benchmarks can split ``W_fact`` / ``W_red`` exactly as Fig. 10 does.
 
-With ``FactorOptions(n_workers != 1)`` the active grids of each level run
-*concurrently* on a host worker pool (:mod:`repro.parallel`): each grid's
-sub-plan executes against a forked sub-simulator and an exported replica
-view, and the parent merges the returned ledger deltas in grid order —
-bit-for-bit identical to the serial schedule, because the grids' rank
-sets are disjoint. When the pool cannot engage (a simulator that cannot
-fork, a worker count resolving to 1), the run falls back to the serial
-path and records *why* on ``Factor3DResult.parallel_stats`` as a
-:class:`repro.parallel.ParallelFallback` — no more silent fallbacks.
+The active grids of a level run on disjoint rank sets, so the simulated
+ledgers already model their concurrency; the host walks them one after
+another.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass, field
 
@@ -36,24 +29,10 @@ import numpy as np
 
 from repro.comm.grid import ProcessGrid2D, ProcessGrid3D
 from repro.comm.simulator import Simulator
-from repro.comm.volume import compact_enabled, volume_for
+from repro.comm.volume import volume_for
 from repro.lu2d.options import FactorOptions
 from repro.lu2d.storage import node_blocks
 from repro.lu3d.replication import ReplicaManager, replica_words_per_rank
-from repro.parallel.engine import (
-    GridTask,
-    ParallelExecutor,
-    ParallelFallback,
-    resolve_workers,
-)
-from repro.parallel.shm import (
-    PackedBlock,
-    ShmTransport,
-    ShmViewHandle,
-    pack_view,
-    shm_enabled,
-    unpack_view,
-)
 from repro.plan.build import build_3d_plan
 from repro.plan.compile import compile_enabled, compile_plan
 from repro.plan.interpret import (
@@ -82,10 +61,6 @@ class Factor3DResult:
     reduction_words: float = 0.0
     replicas: ReplicaManager | None = None
     per_level_makespan: list[float] = field(default_factory=list)
-    #: One :class:`repro.parallel.LevelStats` per fanned-out level, plus a
-    #: :class:`repro.parallel.ParallelFallback` record when workers were
-    #: requested but the run stayed serial (empty for plain serial runs).
-    parallel_stats: list = field(default_factory=list)
     #: The executed task-graph plan (:class:`repro.plan.Plan3D`); ``None``
     #: only for legacy ``factor_fn`` plug-ins' grid work, whose per-grid
     #: task lists are empty stubs.
@@ -121,9 +96,6 @@ class CostOnlyData:
     """No numeric content: every view is ``None``, reductions book only."""
 
     accumulate = None
-    #: Shared-memory transport backing ``export`` / ``import_back``
-    #: (:class:`repro.parallel.ShmTransport`); ``None`` = pickle path.
-    transport = None
     #: Whether z-replica crash recovery can rebuild a grid's state from
     #: sibling replicas. True here: with no numeric content there is
     #: nothing to rebuild, so the policy is trivially applicable.
@@ -131,16 +103,6 @@ class CostOnlyData:
 
     def view(self, gp):
         return None
-
-    def export(self, gp):
-        return None
-
-    def import_back(self, g, blocks) -> None:
-        pass
-
-    def mark_executed_inline(self, gp) -> None:
-        """A grid plan ran inline (mutating replicas directly): invalidate
-        any cached shared-memory copy of its blocks. No-op without shm."""
 
     def snapshot(self):
         return None
@@ -153,60 +115,14 @@ class CostOnlyData:
 
 
 class ReplicaData(CostOnlyData):
-    """Standard numeric mode: per-grid replica views + z-axis summation.
+    """Standard numeric mode: per-grid replica views + z-axis summation."""
 
-    With a :class:`repro.parallel.ShmTransport` attached, ``export`` ships
-    (segment, offset, shape) descriptors instead of pickled arrays and only
-    re-copies blocks dirtied since the previous fan-out (the z-reduction
-    accumulations and inline-executed levels register dirty marks); any
-    shared-memory failure downgrades the rest of the run to the pickle path.
-
-    With ``compact`` (the compact communication mode), pickle-path exports
-    ship index+value :class:`repro.parallel.shm.PackedBlock` payloads for
-    sparse blocks instead of full dense views — the runtime counterpart of
-    the compact word pricing. Packing is lossless (dropped entries are
-    exact zeros), so factors stay bit-identical to the dense transport.
-    """
-
-    def __init__(self, replicas: ReplicaManager, transport=None,
-                 compact: bool = False):
+    def __init__(self, replicas: ReplicaManager):
         self.replicas = replicas
         self.accumulate = replicas.accumulate
-        self.transport = transport
-        self.compact = compact
-        if transport is not None:
-            replicas.add_dirty_hook(
-                lambda g, i, j: transport.mark_dirty(g, (i, j)))
 
     def view(self, gp):
         return self.replicas.view(gp.g)
-
-    def export(self, gp):
-        tr = self.transport
-        if tr is not None:
-            handle = tr.export(gp.g,
-                               self.replicas.grid_block_refs(gp.g, gp.nodes))
-            if handle is not None:
-                return handle
-            self.transport = None  # shm failed: pickle for the rest of run
-        view = self.replicas.export_view(gp.g, gp.nodes)
-        return pack_view(view) if self.compact else view
-
-    def import_back(self, g, blocks) -> None:
-        tr = self.transport
-        if tr is not None and isinstance(blocks, ShmViewHandle):
-            self.replicas.import_view(g, tr.views_for(blocks))
-            return
-        if isinstance(blocks, dict) and \
-                any(isinstance(v, PackedBlock) for v in blocks.values()):
-            blocks = unpack_view(blocks)
-        self.replicas.import_view(g, blocks)
-
-    def mark_executed_inline(self, gp) -> None:
-        tr = self.transport
-        if tr is not None:
-            for key in self.replicas.grid_block_refs(gp.g, gp.nodes):
-                tr.mark_dirty(gp.g, key)
 
     def snapshot(self):
         return self.replicas.snapshot()
@@ -221,11 +137,10 @@ class ReplicaData(CostOnlyData):
 class GlobalStoreData(CostOnlyData):
     """Merged numeric mode: one global block copy shared by every grid.
 
-    The shared copy rules out the fork/merge fan-out (sibling forests
-    accumulate into the same ancestor blocks), and makes the reduction's
-    numeric content a no-op — its messages remain, for the cost ledgers.
-    It also rules out z-replica recovery: there are no sibling replicas
-    to rebuild from, so crashes fall back to the restart policy.
+    The shared copy makes the reduction's numeric content a no-op — its
+    messages remain, for the cost ledgers. It also rules out z-replica
+    recovery: there are no sibling replicas to rebuild from, so crashes
+    fall back to the restart policy.
     """
 
     supports_zreplica = False
@@ -347,11 +262,6 @@ def factor_3d(sf: SymbolicFactorization, tf: TreeForest, grid3: ProcessGrid3D,
             result.replicas = ReplicaManager(sf, tf, base,
                                              blocks_fn=blocks_fn)
 
-    engine, fallback = _make_engine(opts, sim, sf,
-                                    factor_fn if custom else None)
-    if fallback is not None:
-        result.parallel_stats.append(fallback)
-
     if cached is not None:
         bundle = cached
         plan3 = bundle.plan3
@@ -371,13 +281,7 @@ def factor_3d(sf: SymbolicFactorization, tf: TreeForest, grid3: ProcessGrid3D,
             build_seconds=time.perf_counter() - t0)
     result.plan = plan3
     result.bundle = bundle
-    if numeric:
-        transport = ShmTransport() \
-            if engine is not None and shm_enabled(opts) else None
-        data = ReplicaData(result.replicas, transport=transport,
-                           compact=compact_enabled(opts))
-    else:
-        data = CostOnlyData()
+    data = ReplicaData(result.replicas) if numeric else CostOnlyData()
     if opts.resilience_active():
         if custom:
             raise ValueError(
@@ -396,44 +300,8 @@ def factor_3d(sf: SymbolicFactorization, tf: TreeForest, grid3: ProcessGrid3D,
         result.compiled = (bundle.compiled(sf, opts) if bundle is not None
                            else compile_plan(plan3, sf, opts))
     _execute_plan3d(result.compiled.plan if result.compiled else plan3,
-                    sf, sim, result, opts, engine, data, factor_fn=factor_fn)
+                    sf, sim, result, opts, data, factor_fn=factor_fn)
     return result
-
-
-def _make_engine(opts: FactorOptions, sim: Simulator, sf, factor_fn
-                 ) -> tuple[ParallelExecutor | None, ParallelFallback | None]:
-    """The level fan-out engine, or ``(None, why)`` for the serial path.
-
-    ``n_workers = 1`` (the default) never constructs an engine — no pool
-    is spawned, no fallback is recorded: the serial schedule is what was
-    asked for. When workers *were* requested but cannot engage, the reason
-    is returned as a :class:`ParallelFallback` so the run reports it
-    instead of silently ignoring the pool.
-    """
-    if opts.n_workers == 1 and not opts.resilience_active():
-        return None, None
-
-    def fallback(reason: str) -> ParallelFallback:
-        return ParallelFallback(reason=reason,
-                                requested_workers=opts.n_workers,
-                                backend=opts.parallel_backend)
-
-    if opts.resilience_active():
-        if opts.n_workers == 1:
-            return None, None
-        return None, fallback(
-            "resilience instrumentation (fault_plan / checkpoint_every) "
-            "requires the serial monitored schedule")
-    if not sim.can_fork():
-        return None, fallback(
-            "simulator cannot fork: trace, topology or accelerator "
-            "attached (these need globally ordered events)")
-    if resolve_workers(opts.n_workers) <= 1:
-        return None, fallback(
-            f"n_workers={opts.n_workers} resolves to a single worker "
-            "on this host")
-    return ParallelExecutor(opts.n_workers, opts.parallel_backend,
-                            sf, factor_fn, opts), None
 
 
 def _absorb_2d(result: Factor3DResult, r2d) -> None:
@@ -443,85 +311,32 @@ def _absorb_2d(result: Factor3DResult, r2d) -> None:
 
 
 def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
-                    result: Factor3DResult, opts: FactorOptions,
-                    engine: ParallelExecutor | None, data,
+                    result: Factor3DResult, opts: FactorOptions, data,
                     factor_fn=None) -> None:
     """Walk the 3D plan level by level (shared by standard and merged).
 
-    ``data`` is one of the data strategies above. Levels with ≥ 2 grid
-    plans fan out to the engine when one is present; everything else runs
-    inline through the shared interpreter (or the legacy ``factor_fn`` for
-    structure-only plans).
+    ``data`` is one of the data strategies above. Every grid plan runs
+    inline through the shared interpreter (or the legacy ``factor_fn``
+    for structure-only plans).
     """
-    try:
-        for step in plan3.levels:
-            sim.set_phase("fact")
-            if engine is not None and len(step.grid_plans) >= 2:
-                _fan_out_level(engine, sf, sim, result, step, data)
+    for step in plan3.levels:
+        sim.set_phase("fact")
+        for gp in step.grid_plans:
+            grid = ProcessGrid2D(gp.px, gp.py, base=gp.base)
+            if gp.backend is None:
+                r2d = factor_fn(sf, gp.nodes, grid, sim,
+                                data=data.view(gp), options=opts)
             else:
-                for gp in step.grid_plans:
-                    grid = ProcessGrid2D(gp.px, gp.py, base=gp.base)
-                    if gp.backend is None:
-                        r2d = factor_fn(sf, gp.nodes, grid, sim,
-                                        data=data.view(gp), options=opts)
-                    else:
-                        r2d = execute_grid_plan(gp, sf, sim,
-                                                data=data.view(gp),
-                                                options=opts, grid=grid)
-                    _absorb_2d(result, r2d)
-                    data.mark_executed_inline(gp)
-            for rep in step.replicated:
-                execute_replicated(rep, sim)
+                r2d = execute_grid_plan(gp, sf, sim, data=data.view(gp),
+                                        options=opts, grid=grid)
+            _absorb_2d(result, r2d)
+        for rep in step.replicated:
+            execute_replicated(rep, sim)
 
-            if step.level > 0:
-                sim.set_phase("red")
-                for red in step.reduces:
-                    execute_reduce(red, sim, result,
-                                   accumulate=data.accumulate)
-            result.per_level_makespan.append(sim.makespan)
-    finally:
-        if engine is not None:
-            engine.close()
-        if data.transport is not None:
-            data.transport.close()
-    if engine is not None:
-        result.parallel_stats.extend(engine.stats)
+        if step.level > 0:
+            sim.set_phase("red")
+            for red in step.reduces:
+                execute_reduce(red, sim, result, accumulate=data.accumulate)
+        result.per_level_makespan.append(sim.makespan)
 
     sim.set_phase("fact")
-
-
-def _fan_out_level(engine: ParallelExecutor, sf, sim: Simulator,
-                   result: Factor3DResult, step, data) -> None:
-    """Run one level's grid plans on the worker pool and merge back.
-
-    Fork order, submission order and merge order are all ascending grid
-    id; together with the disjoint per-grid rank sets this makes the
-    merged ledgers independent of worker scheduling.
-    """
-    t0 = time.perf_counter()
-    tasks = []
-    shipped = 0.0
-    mode = "none"
-    for gp in step.grid_plans:
-        sub = sim.fork(list(range(gp.base, gp.base + gp.px * gp.py)))
-        blocks = data.export(gp)
-        if isinstance(blocks, ShmViewHandle):
-            shipped += float(len(pickle.dumps(blocks)))
-            mode = "shm"
-        elif blocks is not None:
-            shipped += float(sum(a.nbytes for a in blocks.values()))
-            mode = "pickle"
-        tasks.append(GridTask(g=gp.g, nodes=list(gp.nodes), px=gp.px,
-                              py=gp.py, base=gp.base, sub=sub,
-                              blocks=blocks,
-                              plan=gp if gp.backend is not None else None))
-    outcomes = engine.run_level(step.level, tasks,
-                                prep_seconds=time.perf_counter() - t0,
-                                transport=mode, bytes_shipped=shipped)
-    t1 = time.perf_counter()
-    for out in outcomes:  # ascending grid id (engine sorts)
-        sim.merge_delta(out.delta)
-        if out.blocks is not None:
-            data.import_back(out.g, out.blocks)
-        _absorb_2d(result, out.result)
-    engine.add_merge_seconds(time.perf_counter() - t1)

@@ -46,10 +46,8 @@ from repro.lu3d.factor3d import (
     Factor3DResult,
     GlobalStoreData,
     _execute_plan3d,
-    _make_engine,
 )
 from repro.lu3d.replication import replica_words_per_rank
-from repro.parallel.engine import ParallelFallback
 from repro.plan.build import _merged_grid, build_3d_plan
 from repro.plan.compile import compile_enabled
 from repro.plan.replay import PlanBundle, plan_options_key
@@ -67,13 +65,6 @@ def factor_3d_merged(sf: SymbolicFactorization, tf: TreeForest,
                      numeric: bool = False, matrix=None,
                      cached: PlanBundle | None = None) -> Factor3DResult:
     """Algorithm 1 with merged-grid ancestor levels.
-
-    ``FactorOptions(n_workers != 1)`` fans the per-forest factorizations
-    of each level out to the :mod:`repro.parallel` worker pool in
-    cost-only mode; numeric mode stays serial because its single global
-    block copy is shared across sibling forests (see the in-line note),
-    and records that decision as a :class:`ParallelFallback` on
-    ``parallel_stats``.
 
     ``matrix`` overrides ``sf.A_perm`` as the numeric value source (same
     pattern, fresh values — the re-factorization workflow); ``cached``
@@ -104,25 +95,6 @@ def factor_3d_merged(sf: SymbolicFactorization, tf: TreeForest,
             words = replica_words_per_rank(sf, tf, grid3, volume=volume)
         for r in np.flatnonzero(words):
             sim.alloc(int(r), float(words[r]))
-
-    # The merged variant keeps ONE global copy of every block in numeric
-    # mode, so sibling forests at a level accumulate into shared ancestor
-    # blocks — that cross-task overlap rules out the fork/merge fan-out.
-    # Cost-only runs have no shared data and parallelize like Algorithm 1
-    # (the merged grids of a level span disjoint contiguous rank ranges).
-    if numeric:
-        engine = None
-        if opts.n_workers != 1:
-            result.parallel_stats.append(ParallelFallback(
-                reason="merged numeric mode keeps a single global block "
-                       "copy shared across sibling forests; grid fan-out "
-                       "would race on it",
-                requested_workers=opts.n_workers,
-                backend=opts.parallel_backend))
-    else:
-        engine, fallback = _make_engine(opts, sim, sf, None)
-        if fallback is not None:
-            result.parallel_stats.append(fallback)
 
     if cached is not None:
         bundle = cached
@@ -155,5 +127,5 @@ def factor_3d_merged(sf: SymbolicFactorization, tf: TreeForest,
     if compile_enabled(opts, sim):
         result.compiled = bundle.compiled(sf, opts)
     _execute_plan3d(result.compiled.plan if result.compiled else plan3,
-                    sf, sim, result, opts, engine, data)
+                    sf, sim, result, opts, data)
     return result

@@ -19,33 +19,7 @@ from repro.sparse.blockmatrix import BlockMatrix
 from repro.symbolic.symbolic_factor import SymbolicFactorization
 from repro.tree.treeforest import TreeForest
 
-__all__ = ["ReplicaManager", "GridStoreView", "replica_words_per_rank",
-           "touched_block_keys"]
-
-
-def touched_block_keys(sf: SymbolicFactorization, nodes,
-                       blocks_fn=None) -> set[tuple[int, int]]:
-    """Conservative superset of the blocks factoring ``nodes`` touches.
-
-    Covers the nodes' own panels (``blocks_fn``), the LU Schur targets
-    (``lpanel × upanel``) and the symmetric engines' lower-triangle
-    targets (``i >= j`` pairs of the L panel). Used to build the compact
-    per-grid view shipped to pool workers: intersecting this set with a
-    grid's replica store yields every block the 2D engine can read or
-    write for ``nodes`` (Schur targets are ancestors, and ancestor
-    replication domains nest, so the grid holds them all).
-    """
-    blocks_fn = blocks_fn or node_blocks
-    lpanel, upanel = sf.fill.lpanel, sf.fill.upanel
-    keys: set[tuple[int, int]] = set()
-    for v in nodes:
-        v = int(v)
-        keys.update((i, j) for i, j, _w in blocks_fn(sf, v))
-        rows = [int(i) for i in lpanel[v]]
-        cols = [int(j) for j in upanel[v]]
-        keys.update((i, j) for i in rows for j in cols)
-        keys.update((i, j) for a, i in enumerate(rows) for j in rows[:a + 1])
-    return keys
+__all__ = ["ReplicaManager", "GridStoreView", "replica_words_per_rank"]
 
 
 class GridStoreView:
@@ -91,7 +65,6 @@ class ReplicaManager:
         self.sf = sf
         self.tf = tf
         self.blocks_fn = blocks_fn or node_blocks
-        self._dirty_hooks: list = []
         self._store: dict[tuple[int, int, int], np.ndarray] = {}
         layout = sf.layout
         for v in range(sf.nb):
@@ -116,68 +89,21 @@ class ReplicaManager:
     def view(self, g: int) -> GridStoreView:
         return GridStoreView(self, g)
 
-    # -- worker transport --------------------------------------------------
-
-    def export_view(self, g: int, nodes) -> dict[tuple[int, int], np.ndarray]:
-        """Copy grid ``g``'s replicas of the blocks ``nodes`` may touch.
-
-        The returned plain dict is self-contained (safe to pickle to a
-        pool worker, safe to mutate from a thread) and supports the same
-        mapping protocol the 2D engines use on :class:`GridStoreView`.
-        """
-        store = self._store
-        return {key: store[(g, *key)].copy()
-                for key in touched_block_keys(self.sf, nodes, self.blocks_fn)
-                if (g, *key) in store}
-
-    def grid_block_refs(self, g: int,
-                        nodes) -> dict[tuple[int, int], np.ndarray]:
-        """Like :meth:`export_view` but *direct* (non-copying) references,
-        deterministically ordered — the shared-memory transport's export
-        source (it copies only new/dirty blocks into its segments)."""
-        store = self._store
-        return {key: store[(g, *key)]
-                for key in sorted(touched_block_keys(self.sf, nodes,
-                                                     self.blocks_fn))
-                if (g, *key) in store}
-
-    def import_view(self, g: int,
-                    blocks: dict[tuple[int, int], np.ndarray]) -> None:
-        """Write a worker's mutated blocks back into grid ``g``'s replicas.
-
-        In-place copies, so views and the home-grid aliasing into the
-        original :class:`BlockMatrix` stay valid.
-        """
-        store = self._store
-        for (i, j), arr in blocks.items():
-            store[(g, i, j)][:] = arr
-
     def accumulate(self, g_dst: int, g_src: int, i: int, j: int) -> None:
         """One Ancestor-Reduction hop: ``dst-copy += src-copy``."""
         self._store[(g_dst, i, j)] += self._store[(g_src, i, j)]
-        for hook in self._dirty_hooks:
-            hook(g_dst, i, j)
-
-    def add_dirty_hook(self, hook) -> None:
-        """Register ``hook(g, i, j)`` to fire whenever a replica block is
-        mutated outside plan execution (currently: :meth:`accumulate`) —
-        how the shm transport learns which cached blocks went stale."""
-        self._dirty_hooks.append(hook)
 
     def reset(self, base: BlockMatrix) -> None:
         """Re-initialize every replica to Fig. 5's initial state with fresh
         values, in place — the plan-replay path's allocation-free setup.
 
         Home copies are refilled from ``base`` (structurally missing blocks
-        become zero fill again), non-home copies are zeroed, and dirty
-        hooks are dropped: each execution's transport registers its own,
-        and a stale hook would mark blocks dirty against a closed segment.
-        Array identities are preserved, so any outstanding views (and a
+        become zero fill again) and non-home copies are zeroed. Array
+        identities are preserved, so any outstanding views (and a
         previous run's :class:`HomeView`) resolve to the new values.
         """
         sf, tf = self.sf, self.tf
         store = self._store
-        self._dirty_hooks.clear()
         for v in range(sf.nb):
             grids = tf.grids_of_node(v)
             home = grids.start

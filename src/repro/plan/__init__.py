@@ -8,9 +8,7 @@ once and emits a typed DAG of tasks (:mod:`repro.plan.tasks`); a single
 *interpreter* (:mod:`repro.plan.interpret`) executes any plan against a
 pluggable kernel backend (:mod:`repro.plan.backends` — LU or Cholesky,
 numeric or cost-only). Every driver (2D baseline, 3D, merged-grid,
-Cholesky) is a thin wrapper over this machinery, and the parallel engine
-ships per-grid sub-plans to its workers instead of re-deriving driver
-structure.
+Cholesky) is a thin wrapper over this machinery.
 
 Plan list order replays the historical drivers' exact event schedule, so
 ledgers are bit-identical to the pre-plan code; the dependency edges feed

@@ -311,7 +311,7 @@ def _build_replicated_level(sf, tf, grid3, blocks_fn, counter, lvl: int,
     """Emit level ``lvl``'s forests as aggregate 2.5D sweeps (Section VII).
 
     One :class:`ReplicatedFactor` per non-empty forest, in forest order —
-    the legacy ``lu3d.dense25`` loop's order. Aggregate flops come from
+    the original 2.5D aggregate cost loop's order. Aggregate flops come from
     the symbolic per-node totals exactly as that loop computed them
     (numpy sums, so dense-mode ledgers stay bit-identical); the moved
     words are re-priced per block through the volume model when it is not

@@ -265,7 +265,7 @@ def execute_grid_plan(plan: GridPlan, sf, sim: Simulator, data=None,
 def execute_replicated(task: ReplicatedFactor, sim: Simulator) -> None:
     """Execute one 2.5D ancestor sweep's aggregate cost events.
 
-    Replays the legacy ``lu3d.dense25`` loop's exact event order for one
+    Replays the original 2.5D aggregate cost loop's exact event order for one
     forest: z-replication broadcasts of the level panel (one per (x, y)
     position), then ``steps`` ring exchanges — all sends, then all
     receives, per step — then the evenly-spread level flops, booked under

@@ -44,8 +44,8 @@ def plan_options_key(options) -> tuple:
     """The :class:`~repro.lu2d.options.FactorOptions` fields a built plan
     depends on.
 
-    Everything else — pivoting threshold, worker counts, transport,
-    resilience schedule, the ``compile_plan`` toggle itself — is a
+    Everything else — pivoting threshold, resilience schedule, the
+    ``compile_plan`` toggle itself — is a
     property of one *execution*, not of the DAG, so bundles (and service
     cache entries) stay valid across those settings. The resolved
     block-volume kind (dense vs compact message pricing) is part of the

@@ -358,8 +358,7 @@ class GridPlan:
     ``backend`` names the kernel backend (``'lu'`` / ``'cholesky'``) the
     interpreter resolves — or ``None`` for a legacy ``factor_fn`` plug-in,
     in which case ``tasks`` is empty and the 3D executor calls the
-    plug-in directly. The 2D grid ships as ``(px, py, base)`` so the plan
-    stays cheap to pickle to pool workers.
+    plug-in directly. The 2D grid is stored as ``(px, py, base)``.
     """
 
     backend: str | None

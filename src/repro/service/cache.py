@@ -65,8 +65,8 @@ def cache_key(A: sp.spmatrix, grid_shape: tuple[int, int, int],
 
     Pattern fingerprint × grid shape × backend × every solver knob the
     symbolic/partition phases read × the plan-relevant option fields
-    (:func:`repro.plan.plan_options_key`). Runtime-only options (worker
-    counts, transport, the compile toggle, pivoting threshold) are
+    (:func:`repro.plan.plan_options_key`). Runtime-only options (the
+    compile toggle, pivoting threshold, resilience schedule) are
     deliberately absent: one entry serves them all.
     """
     geom_key = (geometry.shape, geometry.kind) if geometry is not None \

@@ -39,7 +39,7 @@ from repro.sparse.generators import GridGeometry
 from repro.sparse.pattern import pattern_of, symmetrize_pattern
 from repro.symbolic.symbolic_factor import SymbolicFactorization, symbolic_factorize
 from repro.tree.partition import greedy_partition, naive_partition
-from repro.utils import check_square_sparse
+from repro.utils import check_real_finite, check_square_sparse
 
 __all__ = ["SparseLU3D"]
 
@@ -86,7 +86,7 @@ class SparseLU3D:
                  options: FactorOptions | None = None, numeric: bool = True,
                  nd_method: str = "bfs", max_block: int | None = 256,
                  equil: bool = False, relax: int = 0):
-        self.A = check_square_sparse(A)
+        self.A = check_real_finite(check_square_sparse(A))
         self.equ: Equilibration | None = equilibrate(self.A) if equil else None
         self._A_work = self.equ.apply(self.A) if equil else self.A
         self.geometry = geometry
@@ -228,7 +228,7 @@ class SparseLU3D:
         run are replayed — only the numeric kernels re-execute, with
         ledgers bit-identical to a cold ``factorize()``.
         """
-        A_new = check_square_sparse(A_new)
+        A_new = check_real_finite(check_square_sparse(A_new), "A_new")
         if A_new.shape != self.A.shape:
             raise ValueError(
                 f"shape {A_new.shape} differs from original {self.A.shape}")

@@ -4,6 +4,7 @@ from repro.utils.timing import Timer
 from repro.utils.validation import (
     check_positive_int,
     check_power_of_two,
+    check_real_finite,
     check_square_sparse,
     is_power_of_two,
 )
@@ -12,6 +13,7 @@ __all__ = [
     "Timer",
     "check_positive_int",
     "check_power_of_two",
+    "check_real_finite",
     "check_square_sparse",
     "is_power_of_two",
 ]

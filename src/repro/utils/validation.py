@@ -41,3 +41,16 @@ def check_square_sparse(A, name: str = "A") -> sp.csr_matrix:
     if A.shape[0] == 0:
         raise ValueError(f"{name} must be non-empty")
     return A.tocsr()
+
+
+def check_real_finite(A: sp.spmatrix, name: str = "A") -> sp.spmatrix:
+    """Validate that sparse ``A`` holds real, finite values; return it.
+
+    Separate from :func:`check_square_sparse` because that check also
+    guards pattern-only inputs, whose values are never read.
+    """
+    if A.dtype.kind not in "biuf":
+        raise TypeError(f"{name} must have a real dtype, got {A.dtype}")
+    if not np.isfinite(A.data).all():
+        raise ValueError(f"{name} contains non-finite values (NaN or inf)")
+    return A

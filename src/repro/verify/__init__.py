@@ -48,7 +48,6 @@ from repro.verify.static import (
     StaticReport,
     analyze_plan,
     drop_dep_edge,
-    grid_plan_rank_escapes,
 )
 
 __all__ = [
@@ -56,7 +55,7 @@ __all__ = [
     "grid_task_accesses", "reduce_accesses", "grid_task_ranks",
     "reduce_ranks", "panel_buffer_ranks",
     "Issue", "StaticReport", "PlanVerificationError", "analyze_plan",
-    "drop_dep_edge", "grid_plan_rank_escapes",
+    "drop_dep_edge",
     "FuzzReport", "fuzz_2d", "fuzz_3d", "random_legal_orders",
     "VerificationError", "ledger_state", "conservation_issues",
     "check_conservation", "lu_residual", "cholesky_error",

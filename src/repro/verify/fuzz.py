@@ -42,13 +42,17 @@ from repro.comm.events import PHASE_FACT, PHASE_RED
 from repro.comm.grid import ProcessGrid2D
 from repro.comm.machine import Machine
 from repro.comm.simulator import Simulator
+from repro.comm.volume import volume_for
 from repro.lu2d.options import FactorOptions
+from repro.lu3d.factor3d import CostOnlyData, GlobalStoreData, ReplicaData
+from repro.lu3d.replication import ReplicaManager, replica_words_per_rank
 from repro.plan.backends import get_backend
 from repro.plan.build import build_3d_plan, build_grid_plan
 from repro.plan.compile import compile_plan
 from repro.plan.interpret import GridContext, dispatch_task, \
     execute_reduce, execute_replicated
 from repro.plan.tasks import FusedTask, GridPlan, Plan3D
+from repro.sparse.blockmatrix import BlockMatrix
 from repro.verify.access import (
     grid_task_ranks,
     panel_buffer_ranks,
@@ -289,18 +293,6 @@ def fuzz_3d(sf, tf, grid3, *, backend: str = "lu", merged: bool = False,
     compile pass first and the *fused* tasks are the schedulable units,
     so random legal orders exercise the rewritten dependency edges.
     """
-    # Imported here: repro.lu3d.factor3d pulls repro.parallel, which in
-    # turn reaches back into repro.verify for its pre-flight check.
-    from repro.lu3d.factor3d import (
-        CostOnlyData,
-        GlobalStoreData,
-        ReplicaData,
-    )
-    from repro.lu3d.replication import ReplicaManager, replica_words_per_rank
-    from repro.sparse.blockmatrix import BlockMatrix
-
-    from repro.comm.volume import volume_for
-
     opts = options or FactorOptions()
     if numeric and opts.ancestor_replication > 1:
         raise ValueError("ancestor_replication > 1 is a cost-only study; "

@@ -25,8 +25,7 @@ properties the rest of the system silently relies on:
   promise to skip owner-preserving moves (a ``'mov'`` with
   ``src == dst`` would double-charge the ledger);
 * **rank escapes** — a task referencing ranks outside its grid's span
-  (the fork/merge fan-out of :mod:`repro.parallel` requires per-grid
-  event locality);
+  (each grid plan's events must stay on its own layer's ranks);
 * **disconnected roots** — a task with no dependencies that is not a
   panel root, a level barrier, or a first-level reduce.
 
@@ -59,14 +58,12 @@ from repro.verify.access import (
     GLOBAL_VIEW,
     conflicts,
     grid_task_accesses,
-    grid_task_ranks,
     reduce_accesses,
-    reduce_ranks,
     replicated_accesses,
 )
 
 __all__ = ["Issue", "StaticReport", "PlanVerificationError", "analyze_plan",
-           "grid_plan_rank_escapes", "drop_dep_edge"]
+           "drop_dep_edge"]
 
 
 class PlanVerificationError(AssertionError):
@@ -434,39 +431,6 @@ def analyze_plan(plan, sf, *, max_race_tasks: int = 20000) -> StaticReport:
                         "with no dependency path", (tida, tidb))
     report.n_pairs_checked = pairs
     return report
-
-
-def grid_plan_rank_escapes(plan: GridPlan) -> list[str]:
-    """Cheap structural rank-containment check for one grid plan.
-
-    Used by the parallel fan-out engine before forking a sub-simulator:
-    any rank outside ``[base, base + px*py)`` would make the forked
-    ledger delta escape its slice (a late, hard-to-attribute
-    ``CommError``). Only the ranks recorded in task payloads are checked
-    — Schur-update targets are grid-owner lookups and cannot escape by
-    construction.
-    """
-    lo, hi = plan.base, plan.base + plan.px * plan.py
-    out: list[str] = []
-    stack = list(plan.tasks)
-    for t in stack:
-        if isinstance(t, FusedTask):
-            stack.extend(t.members)
-            continue
-        if not isinstance(t, (PanelFactor, PanelBcast)):
-            continue
-        bad = set()
-        if not (lo <= t.owner < hi):
-            bad.add(t.owner)
-        for spec in t.bcasts:
-            bad.update(r for r in spec.ranks if not (lo <= r < hi))
-            if spec.route_from is not None \
-                    and not (lo <= spec.route_from < hi):
-                bad.add(spec.route_from)
-        if bad:
-            out.append(f"task {t.tid} ({t.kind}, node {t.node}) references "
-                       f"ranks {sorted(bad)} outside [{lo}, {hi})")
-    return out
 
 
 # -- mutation self-test helper ---------------------------------------------

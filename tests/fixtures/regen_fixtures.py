@@ -12,8 +12,6 @@ changed (in which case the diff documents exactly what moved).
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.sparse.fixtures import FIXTURES, fixtures_dir, load_fixture
 from repro.sparse.generators import (
     arrowhead,

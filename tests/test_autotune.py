@@ -13,7 +13,6 @@ import pytest
 from repro.model import volume_3d_nonplanar, volume_3d_planar
 from repro.sparse import grid2d_5pt, grid3d_7pt
 from repro.tune import (
-    CandidateResult,
     Evaluator,
     MatrixProfile,
     TuneCache,

@@ -1,28 +1,21 @@
-"""Plan-compilation + shared-memory-transport conformance tests.
+"""Plan-compilation conformance tests.
 
-Two contracts from the compile layer (:mod:`repro.plan.compile`):
-
-* **Observational equivalence** — running the fused plan books ledgers
-  bit-identical to the unfused plan and produces bit-equal factors,
-  across all four drivers (2D LU, 3D LU, merged 3D, Cholesky), under the
-  randomized-schedule fuzzer, and the static analyzer stays clean on the
-  rewritten DAG. The mutation self-test drops a dep edge *from a fused
-  task* and demands the race detector fire — fusion must not blind it.
-* **Zero-copy transport hygiene** — the shm path ships descriptor bytes
-  instead of block bytes, falls back to pickle on demand (``REPRO_SHM``),
-  and never leaks a ``/dev/shm/repro_shm_*`` segment, even when a worker
-  crashes mid-level.
+The compile layer's (:mod:`repro.plan.compile`) contract is observational
+equivalence: running the fused plan books ledgers bit-identical to the
+unfused plan and produces bit-equal factors, across all four drivers (2D
+LU, 3D LU, merged 3D, Cholesky), under the randomized-schedule fuzzer, and
+the static analyzer stays clean on the rewritten DAG. The mutation
+self-test drops a dep edge *from a fused task* and demands the race
+detector fire — fusion must not blind it.
 """
 
 from __future__ import annotations
-
-import glob
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.analysis import format_compile_summary, format_parallel_stats
+from repro.analysis import format_compile_summary
 from repro.cholesky import factor_chol_3d
 from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
 from repro.lu2d.factor2d import FactorOptions, factor_2d
@@ -38,12 +31,11 @@ from repro.verify.oracle import ledger_state
 
 @pytest.fixture(autouse=True)
 def _own_the_toggles(monkeypatch):
-    """This suite drives compilation/transport through FactorOptions and
-    sets the env toggles explicitly where it tests them; an ambient
-    REPRO_COMPILE=0 / REPRO_SHM=0 (e.g. CI's uncompiled tier-1 run) must
-    not silently hollow out the compiled-mode assertions."""
+    """This suite drives compilation through FactorOptions and sets the
+    env toggle explicitly where it tests it; an ambient REPRO_COMPILE=0
+    (e.g. CI's uncompiled tier-1 run) must not silently hollow out the
+    compiled-mode assertions."""
     monkeypatch.delenv("REPRO_COMPILE", raising=False)
-    monkeypatch.delenv("REPRO_SHM", raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -240,102 +232,6 @@ class TestCompileGating:
         assert res.compiled is None
 
 
-def _no_shm_leftovers():
-    return glob.glob("/dev/shm/repro_shm_*")
-
-
-def _crashing_factor_fn(sf, nodes, grid, sim, data=None, options=None):
-    raise RuntimeError("worker exploded")
-
-
-class TestShmTransport:
-    def test_shm_ships_fewer_bytes_than_pickle(self, planar):
-        sf, tf = planar
-        runs = {}
-        for label, opts in (
-                ("shm", _opts(n_workers=2, parallel_backend="serial")),
-                ("pickle", _opts(n_workers=2, parallel_backend="serial",
-                                 shm_transport=False))):
-            grid3 = ProcessGrid3D(2, 2, 4)
-            sim = Simulator(grid3.size)
-            res = factor_3d(sf, tf, grid3, sim, numeric=True, options=opts)
-            runs[label] = (ledger_state(sim),
-                           res.factors().to_dense(),
-                           [st for st in res.parallel_stats
-                            if hasattr(st, "transport")])
-        shm_levels, pkl_levels = runs["shm"][2], runs["pickle"][2]
-        assert {st.transport for st in shm_levels} == {"shm"}
-        assert {st.transport for st in pkl_levels} == {"pickle"}
-        shm_bytes = sum(st.bytes_shipped for st in shm_levels)
-        pkl_bytes = sum(st.bytes_shipped for st in pkl_levels)
-        # Compact mode packs the pickle payloads (index+value format), so
-        # the dense >= 10x descriptor advantage shrinks; it must still win.
-        from repro.comm.volume import volume_kind
-        margin = 10 if volume_kind(None) == "dense" else 2
-        assert 0 < shm_bytes < pkl_bytes / margin, \
-            f"shm shipped {shm_bytes}B vs pickle {pkl_bytes}B"
-        assert runs["shm"][0] == runs["pickle"][0]
-        assert np.array_equal(runs["shm"][1], runs["pickle"][1])
-        assert _no_shm_leftovers() == []
-
-    def test_process_backend_no_leaks(self, planar):
-        sf, tf = planar
-        grid3 = ProcessGrid3D(2, 2, 4)
-        sim = Simulator(grid3.size)
-        res = factor_3d(sf, tf, grid3, sim, numeric=True,
-                        options=_opts(n_workers=2,
-                                      parallel_backend="process"))
-        assert any(getattr(st, "transport", None) == "shm"
-                   for st in res.parallel_stats)
-        assert res.factors() is not None
-        assert _no_shm_leftovers() == []
-
-    def test_worker_crash_leaves_no_segments(self, planar):
-        sf, tf = planar
-        grid3 = ProcessGrid3D(2, 2, 4)
-        sim = Simulator(grid3.size)
-        with pytest.raises(RuntimeError, match="worker exploded"):
-            factor_3d(sf, tf, grid3, sim, numeric=True,
-                      factor_fn=_crashing_factor_fn,
-                      options=_opts(n_workers=2,
-                                    parallel_backend="serial"))
-        assert _no_shm_leftovers() == []
-
-    def test_env_toggle_forces_pickle(self, planar, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        sf, tf = planar
-        grid3 = ProcessGrid3D(2, 2, 4)
-        sim = Simulator(grid3.size)
-        res = factor_3d(sf, tf, grid3, sim, numeric=True,
-                        options=_opts(n_workers=2,
-                                      parallel_backend="serial"))
-        levels = [st for st in res.parallel_stats
-                  if hasattr(st, "transport")]
-        assert levels and all(st.transport == "pickle" for st in levels)
-
-    def test_dirty_block_recopied(self, planar):
-        """Cross-level caching must not ship stale data: the z-reduction
-        dirties accumulated blocks between fan-outs, and the numeric
-        result still matches the fully-serial factorization bit-for-bit
-        (already asserted above) -- here we check the transport actually
-        reuses segments instead of re-exporting everything."""
-        from repro.parallel.shm import ShmTransport
-        tr = ShmTransport()
-        a = np.arange(6.0).reshape(2, 3)
-        h1 = tr.export(7, {(0, 0): a})
-        views = tr.views_for(h1)
-        assert np.array_equal(views[(0, 0)], a)
-        a[0, 0] = 99.0
-        h2 = tr.export(7, {(0, 0): a})   # clean: NOT re-copied
-        assert tr.views_for(h2)[(0, 0)][0, 0] == 0.0
-        tr.mark_dirty(7, (0, 0))
-        h3 = tr.export(7, {(0, 0): a})   # dirty: re-copied
-        assert tr.views_for(h3)[(0, 0)][0, 0] == 99.0
-        assert h1.entries == h2.entries == h3.entries
-        tr.close()
-        assert _no_shm_leftovers() == []
-
-
 class TestFormatting:
     def test_compile_summary_renders(self, planar):
         sf, _ = planar
@@ -345,14 +241,3 @@ class TestFormatting:
         out = format_compile_summary(compile_plan(plan, sf, _opts()))
         assert "dispatch reduction" in out
         assert "tasks before" in out
-
-    def test_parallel_stats_show_transport(self, planar):
-        sf, tf = planar
-        grid3 = ProcessGrid3D(2, 2, 4)
-        sim = Simulator(grid3.size)
-        res = factor_3d(sf, tf, grid3, sim, numeric=True,
-                        options=_opts(n_workers=2,
-                                      parallel_backend="serial"))
-        out = format_parallel_stats(res)
-        assert "transport" in out and "shipped" in out
-        assert "shm" in out

@@ -1,4 +1,9 @@
-"""Tests for the 2.5D ancestor-level cost engine."""
+"""Tests for the 2.5D ancestor-level cost engine.
+
+The Section VII 2.5D study is ``factor_3d`` with
+``FactorOptions(ancestor_replication=Pz)`` (every ancestor level
+replicated across its whole range), run cost-only.
+"""
 
 import json
 from dataclasses import replace
@@ -11,7 +16,6 @@ from repro.comm import Machine, ProcessGrid3D, Simulator
 from repro.comm.simulator import COMPUTE_KINDS, PHASES
 from repro.lu2d.options import FactorOptions
 from repro.lu3d import factor_3d
-from repro.lu3d.dense25 import factor_3d_dense25
 from repro.sparse import grid2d_5pt, grid3d_7pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
@@ -26,13 +30,19 @@ def _setup(nx=10, pz=4, px=1, py=2):
     return sf, tf, ProcessGrid3D(px, py, pz)
 
 
+def _d25(tf, **kw) -> dict:
+    """``factor_3d`` keyword arguments selecting the 2.5D study."""
+    return {"numeric": False,
+            "options": FactorOptions(ancestor_replication=tf.pz), **kw}
+
+
 class TestDense25:
     def test_flops_conserved(self):
         """The 2.5D schedule redistributes work; totals must match."""
         sf, tf, grid3 = _setup()
         sims = {}
         for label, fn, kw in (("std", factor_3d, {"numeric": False}),
-                              ("d25", factor_3d_dense25, {})):
+                              ("d25", factor_3d, _d25(tf))):
             sim = Simulator(grid3.size)
             fn(sf, tf, grid3, sim, **kw)
             sims[label] = sim
@@ -43,7 +53,7 @@ class TestDense25:
     def test_conservation_and_drained(self):
         sf, tf, grid3 = _setup()
         sim = Simulator(grid3.size)
-        factor_3d_dense25(sf, tf, grid3, sim)
+        factor_3d(sf, tf, grid3, sim, **_d25(tf))
         assert sim.total_words_sent() == pytest.approx(sim.total_words_recv())
         assert sim.pending_messages() == 0
 
@@ -51,7 +61,7 @@ class TestDense25:
         """Every rank of the machine does top-level work in 2.5D mode."""
         sf, tf, grid3 = _setup(pz=4)
         sim = Simulator(grid3.size)
-        factor_3d_dense25(sf, tf, grid3, sim)
+        factor_3d(sf, tf, grid3, sim, **_d25(tf))
         comp = sum(sim.flops[k] for k in ("diag", "panel", "schur"))
         assert (comp > 0).all()
 
@@ -59,7 +69,7 @@ class TestDense25:
         sf, tf, grid3 = _setup(nx=12, pz=8, px=1, py=2)
         t = {}
         for label, fn, kw in (("std", factor_3d, {"numeric": False}),
-                              ("d25", factor_3d_dense25, {})):
+                              ("d25", factor_3d, _d25(tf))):
             sim = Simulator(grid3.size, Machine.edison_like())
             fn(sf, tf, grid3, sim, **kw)
             t[label] = sim.makespan
@@ -68,13 +78,14 @@ class TestDense25:
     def test_numeric_not_supported(self):
         sf, tf, grid3 = _setup()
         with pytest.raises(NotImplementedError):
-            factor_3d_dense25(sf, tf, grid3, Simulator(grid3.size),
-                              numeric=True)
+            factor_3d(sf, tf, grid3, Simulator(grid3.size),
+                      **_d25(tf, numeric=True))
 
     def test_pz_mismatch_rejected(self):
         sf, tf, _ = _setup(pz=2)
         with pytest.raises(ValueError, match="pz"):
-            factor_3d_dense25(sf, tf, ProcessGrid3D(1, 2, 4), Simulator(8))
+            factor_3d(sf, tf, ProcessGrid3D(1, 2, 4), Simulator(8),
+                      **_d25(tf))
 
     def test_pz1_runs_leaf_level_only(self):
         """With one grid there are no ancestor levels to model densely."""
@@ -82,7 +93,7 @@ class TestDense25:
         a = Simulator(grid3.size)
         factor_3d(sf, tf, grid3, a, numeric=False)
         b = Simulator(grid3.size)
-        factor_3d_dense25(sf, tf, grid3, b)
+        factor_3d(sf, tf, grid3, b, **_d25(tf))
         assert np.allclose(a.clock, b.clock)
 
 

@@ -64,10 +64,8 @@ class TestCrossReferences:
             DenseVolume,
             volume_for,
         )
-        from repro.lu3d.dense25 import factor_3d_dense25  # noqa: F401
         from repro.lu3d.merged import factor_3d_merged  # noqa: F401
         from repro.ordering import relax_supernodes  # noqa: F401
-        from repro.parallel.shm import PackedBlock  # noqa: F401
         from repro.solve import condest, equilibrate  # noqa: F401
         from repro.symbolic import block_nnz_tables  # noqa: F401
 

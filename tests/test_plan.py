@@ -10,8 +10,8 @@ option points that change the schedule (lookahead off, sparse broadcasts,
 unbatched Schur updates).
 
 Also pins the plan plumbing itself: plans are exposed on the results,
-DAG edges always point backwards, and a plan survives the pickle
-round-trip the process-pool workers depend on.
+DAG edges always point backwards, and a plan survives a pickle
+round-trip.
 """
 
 from __future__ import annotations

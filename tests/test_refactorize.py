@@ -185,18 +185,11 @@ class TestExplicitZeros:
 
 
 #: The refactorize × execution-mode interaction matrix: the plan-replay
-#: warm path must stay bit-identical to a cold factorization under every
-#: combination of the compiler and the worker fan-out/transport.
+#: warm path must stay bit-identical to a cold factorization with the
+#: compiler on and off.
 INTERACTION_MODES = [
     ("serial-compiled", FactorOptions(compile_plan=True)),
     ("serial-uncompiled", FactorOptions(compile_plan=False)),
-    ("workers-shm", FactorOptions(n_workers=2, parallel_backend="serial",
-                                  shm_transport=True)),
-    ("workers-pickle", FactorOptions(n_workers=2, parallel_backend="serial",
-                                     shm_transport=False)),
-    ("workers-uncompiled", FactorOptions(n_workers=2,
-                                         parallel_backend="serial",
-                                         compile_plan=False)),
 ]
 
 
@@ -225,9 +218,8 @@ class TestRefactorizeInteractions:
         assert np.linalg.norm(A2 @ x - b) / np.linalg.norm(b) < 1e-12
 
     @pytest.mark.parametrize("label,opts",
-                             INTERACTION_MODES[:2] + INTERACTION_MODES[2:3],
-                             ids=["serial-compiled", "serial-uncompiled",
-                                  "workers-shm"])
+                             INTERACTION_MODES,
+                             ids=[m[0] for m in INTERACTION_MODES])
     def test_cholesky_warm_matches_cold(self, stepping_pair, label, opts):
         from repro.cholesky import SparseCholesky3D
         A1, A2, g, n = stepping_pair

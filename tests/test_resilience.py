@@ -7,8 +7,7 @@ Three invariant families:
   simulator and every driver's ledgers stay bit-for-bit identical to the
   golden seed; a monitored walk whose faults never fire is equally
   bit-exact.
-* **Determinism** — the same fault plan perturbs two runs (and any
-  worker-count setting, which falls back to the serial monitored walk)
+* **Determinism** — the same fault plan perturbs two runs
   bit-identically.
 * **Recovery correctness** — a grid crash at every ancestor level, under
   both policies, completes with factors within 1e-12 of the fault-free
@@ -26,11 +25,9 @@ from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
 from repro.lu2d.factor2d import FactorOptions, factor_2d
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
-from repro.parallel import ParallelFallback
 from repro.resilience import (
     FAULT_KINDS,
     Fault,
-    FaultInjector,
     FaultPlan,
     ResilienceStats,
 )
@@ -169,13 +166,6 @@ class TestMechanicalFaults:
             clean.words_sent["fact"].tolist()
         assert sim.msgs_sent["fact"].tolist() == \
             clean.msgs_sent["fact"].tolist()
-
-    def test_injector_blocks_fork(self):
-        sim = Simulator(4, Machine.edison_like())
-        assert sim.can_fork()
-        sim.attach_faults(FaultInjector(
-            FaultPlan((Fault("slow", rank=0),)), sim.machine))
-        assert not sim.can_fork()
 
 
 class TestGoldenFaults:
@@ -322,28 +312,6 @@ class TestCrashRecovery:
         assert st.crashes == 1
         assert st.overhead_seconds > 0
         assert float(np.abs(F - F0).max()) <= 1e-12
-
-
-class TestSerialization:
-    def test_workers_fall_back_and_match_serial(self):
-        plan = FaultPlan((Fault("crash", grid=0, level=1),))
-        ledgers = {}
-        for nw in (1, 2):
-            _, _, sim, res = lu3d_run(options=FactorOptions(
-                fault_plan=plan, recovery="z-replica", n_workers=nw,
-                parallel_backend="serial"))
-            ledgers[nw] = ledger_dict(sim)
-            if nw != 1:
-                fbs = [s for s in res.parallel_stats
-                       if isinstance(s, ParallelFallback)]
-                assert fbs and "resilience" in fbs[0].reason
-        assert ledgers[1] == ledgers[2]
-
-    def test_pool_refuses_fault_plans(self):
-        from repro.parallel.engine import ParallelExecutor
-        opts = FactorOptions(fault_plan=FaultPlan((Fault("slow"),)))
-        with pytest.raises(ValueError, match="serial"):
-            ParallelExecutor(2, "serial", None, None, opts)
 
 
 class TestReporting:

@@ -75,7 +75,8 @@ class TestFingerprint:
         assert k1 != cache_key(A, (2, 2, 2), "lu", FactorOptions(lookahead=0))
         # runtime-only knobs share the entry
         assert k1 == cache_key(A, (2, 2, 2), "lu",
-                               FactorOptions(n_workers=4, compile_plan=False))
+                               FactorOptions(compile_plan=False,
+                                             pivot_eps=1e-8))
 
 
 class TestPlanCache:

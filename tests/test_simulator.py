@@ -15,6 +15,7 @@ from repro.comm import (
     near_square_grid,
     reduce_pairwise,
 )
+from repro.comm.simulator import COMPUTE_KINDS, PHASES
 
 
 class TestMachine:
@@ -255,3 +256,81 @@ class TestGrids:
         assert g3.pxy == 24 and g3.size == 96
         with pytest.raises(ValueError, match="divisible"):
             ProcessGrid3D.from_total(10, 4)
+
+
+def _ledgers(sim):
+    out = {"clock": sim.clock, "mem_current": sim.mem_current,
+           "mem_peak": sim.mem_peak}
+    for p in PHASES:
+        out[f"ws:{p}"] = sim.words_sent[p]
+        out[f"wr:{p}"] = sim.words_recv[p]
+        out[f"ms:{p}"] = sim.msgs_sent[p]
+        out[f"mr:{p}"] = sim.msgs_recv[p]
+    for k in COMPUTE_KINDS:
+        out[f"fl:{k}"] = sim.flops[k]
+        out[f"tc:{k}"] = sim.t_compute[k]
+    return out
+
+
+def assert_ledgers_identical(sim_a, sim_b):
+    la, lb = _ledgers(sim_a), _ledgers(sim_b)
+    for key in la:
+        assert np.array_equal(la[key], lb[key]), f"ledger {key} diverged"
+    assert dict(sim_a.event_counts) == dict(sim_b.event_counts)
+
+
+class TestSendrecvBatch:
+    def _random_traffic(self, rng, n, nranks):
+        srcs = rng.integers(0, nranks, n)
+        dsts = rng.integers(0, nranks, n)
+        words = rng.uniform(1.0, 500.0, n)
+        return srcs, dsts, words
+
+    def test_matches_per_event_loop(self):
+        rng = np.random.default_rng(5)
+        srcs, dsts, words = self._random_traffic(rng, 200, 12)
+        sim_a, sim_b = Simulator(12), Simulator(12)
+        sim_a.set_phase("red")
+        sim_b.set_phase("red")
+        for s, d, w in zip(srcs, dsts, words):
+            reduce_pairwise(sim_a, int(s), int(d), float(w))
+        sim_b.sendrecv_batch(srcs, dsts, words, reduce_kind="reduce_add")
+        assert_ledgers_identical(sim_a, sim_b)
+
+    def test_no_reduce_matches_sendrecv(self):
+        rng = np.random.default_rng(11)
+        srcs, dsts, words = self._random_traffic(rng, 100, 8)
+        sim_a, sim_b = Simulator(8), Simulator(8)
+        for s, d, w in zip(srcs, dsts, words):
+            sim_a.sendrecv(int(s), int(d), float(w))
+        sim_b.sendrecv_batch(srcs, dsts, words)
+        assert_ledgers_identical(sim_a, sim_b)
+
+    def test_subclass_hooks_still_observe(self):
+        pairs = []
+
+        class SpySim(Simulator):
+            def send(self, src, dst, words):
+                pairs.append((src, dst))
+                super().send(src, dst, words)
+
+        sim = SpySim(4)
+        sim.sendrecv_batch([0, 2], [1, 3], [10.0, 20.0],
+                           reduce_kind="reduce_add")
+        assert pairs == [(0, 1), (2, 3)]
+
+    def test_length_mismatch_rejected(self):
+        sim = Simulator(4)
+        with pytest.raises(CommError):
+            sim.sendrecv_batch([0, 1], [1], [10.0, 20.0])
+
+
+class TestOwnerPairs:
+    def test_matches_scalar_owner(self):
+        grid = ProcessGrid2D(3, 4, base=24)
+        rng = np.random.default_rng(2)
+        rows = rng.integers(0, 50, 100)
+        cols = rng.integers(0, 50, 100)
+        vec = grid.owner_pairs(rows, cols)
+        scalar = [grid.owner(int(i), int(j)) for i, j in zip(rows, cols)]
+        assert vec.tolist() == scalar

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import SparseLU3D
+from repro import SparseCholesky3D, SparseLU3D
 from repro.solve import condest, equilibrate, inverse_norm_est
 
 
@@ -179,3 +179,42 @@ class TestMultiRHS:
         solver.factorize()
         with pytest.raises(ValueError, match="shape"):
             solver.solve(np.ones((3, A.shape[0])))
+
+
+def _spd(A):
+    S = (A + A.T) * 0.5
+    return (S + sp.eye(A.shape[0]) * (abs(S).sum(axis=1).max() + 1.0)).tocsr()
+
+
+@pytest.mark.parametrize("solver_cls", [SparseLU3D, SparseCholesky3D],
+                         ids=["lu", "cholesky"])
+class TestValueValidation:
+    """Both facades refuse complex or non-finite values up front, instead
+    of silently dropping imaginary parts or failing deep in a solve."""
+
+    def test_complex_rejected(self, planar_small, solver_cls):
+        A, geom = planar_small
+        S = _spd(A)
+        with pytest.raises(TypeError, match="A must have a real dtype"):
+            solver_cls(S + 1j * S, geometry=geom, leaf_size=24)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, planar_small, solver_cls, bad):
+        A, geom = planar_small
+        S = _spd(A)
+        S.data[0] = bad
+        with pytest.raises(ValueError, match="A contains non-finite"):
+            solver_cls(S, geometry=geom, leaf_size=24)
+
+    def test_refactorize_checks_values(self, planar_small, solver_cls):
+        A, geom = planar_small
+        S = _spd(A)
+        solver = solver_cls(S, geometry=geom, leaf_size=24)
+        nan = S.copy()
+        nan.data[0] = np.nan
+        with pytest.raises(ValueError, match="A_new contains non-finite"):
+            solver.refactorize(nan)
+        assert solver.sf is None
+        solver.factorize()
+        with pytest.raises(TypeError, match="A_new must have a real dtype"):
+            solver.refactorize(S * (1 + 1j))
